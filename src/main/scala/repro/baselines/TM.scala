@@ -2,6 +2,7 @@ package repro.baselines
 
 import org.apache.spark.sql.SparkSession
 import repro.core.{MJoin, RIG, SearchOrder, Simulation}
+import repro.graph.Graph
 import repro.graph.reach.{BFL, ReachOps}
 import repro.pattern.{Direct, PEdge, Pattern, Reach}
 
@@ -30,7 +31,7 @@ object TM {
                    limit: Long = Long.MaxValue,
                    prefilter: Boolean = true): Long = {
     val treeP = spanningTree(p)
-    val missing = p.edges.filterNot(treeP.edges.contains)
+    val missing = p.edges.filterNot(treeP.edges.contains).toArray
     val init =
       if (prefilter) Simulation.prefilter(ops, p) // pre-filter uses the full pattern
       else Simulation.matchSets(ops, p)
@@ -45,21 +46,20 @@ object TM {
     if (seeds.length < 64) {
       var count = 0L
       MJoin.enumerate(rig, order) { t =>
-        if (satisfiesMissing(ops, bfl, missing, t)) count += 1
+        if (satisfiesMissing(ops.g, bfl, missing, t)) count += 1
         count < limit
       }
       count
     } else {
       val bRig = sc.broadcast(rig)
       val bBfl = sc.broadcast(bfl)
-      val bMissing = missing.toArray
       val parts = math.max(1, math.min(sc.defaultParallelism * 4, seeds.length / 16))
       val total = sc.parallelize(seeds.toIndexedSeq, parts)
         .mapPartitions { it =>
           val rigL = bRig.value; val bflL = bBfl.value
           var count = 0L
           MJoin.enumerateSeeds(rigL, order, it.toArray) { t =>
-            if (satisfiesMissing(bflL.g, bflL, bMissing, t)) count += 1
+            if (satisfiesMissing(bflL.g, bflL, missing, t)) count += 1
             count < limit
           }
           Iterator.single(count)
@@ -70,14 +70,10 @@ object TM {
     }
   }
 
-  private def satisfiesMissing(ops: ReachOps, bfl: BFL, missing: Seq[PEdge],
-                               t: Array[Int]): Boolean =
-    missing.forall {
-      case PEdge(f, to, Direct) => ops.g.hasEdge(t(f), t(to))
-      case PEdge(f, to, Reach) => bfl.reaches(t(f), t(to))
-    }
-
-  private def satisfiesMissing(g: repro.graph.Graph, bfl: BFL, missing: Array[PEdge],
+  /** True iff the tree solution `t` also satisfies the pattern edges the
+    * spanning tree left out.
+    */
+  private def satisfiesMissing(g: Graph, bfl: BFL, missing: Array[PEdge],
                                t: Array[Int]): Boolean =
     missing.forall {
       case PEdge(f, to, Direct) => g.hasEdge(t(f), t(to))

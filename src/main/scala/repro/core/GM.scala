@@ -52,7 +52,7 @@ object GM {
     val (matches, enumSec) = Timing.time {
       if (rig.isEmpty) 0L
       else if (config.distribute) MJoin.count(spark, rig, order, config.limit)
-      else MJoin.enumerate(rig, order, config.limit)(_ => true)
+      else MJoin.countLocal(rig, order, config.limit)
     }
     (matches, stats.copy(enumSec = enumSec, matches = matches))
   }

@@ -57,10 +57,9 @@ final class BFL(
     visited.set(cu)
     while (stack.nonEmpty) {
       val comp = stack.removeHead()
-      val kids = cond.dagChildren(comp)
-      var i = 0
-      while (i < kids.length) {
-        val k = kids(i)
+      var i = cond.dagOff(comp)
+      while (i < cond.dagOff(comp + 1)) {
+        val k = cond.dagAdj(i)
         if (k == cv) return true
         if (!visited.get(k) && mayReach(k, cv)) { visited.set(k); stack.prepend(k) }
         i += 1
@@ -79,6 +78,7 @@ object BFL {
     require(bloomBits % 64 == 0, "bloomBits must be a multiple of 64")
     val words = bloomBits / 64
     val c = cond.numComps
+    val (off, adj, bwdOff, bwdAdj) = (cond.dagOff, cond.dagAdj, cond.dagBwdOff, cond.dagBwdAdj)
 
     // Post-order ranks via iterative DFS over the condensation DAG.
     val rank = new Array[Int](c)
@@ -94,7 +94,11 @@ object BFL {
           val comp = stack.head
           if (state(comp) == 0) {
             state(comp) = 1
-            cond.dagChildren(comp).foreach { k => if (state(k) == 0) stack.prepend(k) }
+            var i = off(comp)
+            while (i < off(comp + 1)) {
+              if (state(adj(i)) == 0) stack.prepend(adj(i))
+              i += 1
+            }
           } else {
             stack.removeHead()
             if (state(comp) == 1) {
@@ -111,7 +115,8 @@ object BFL {
     var comp = c - 1
     while (comp >= 0) {
       var s = rank(comp)
-      cond.dagChildren(comp).foreach { k => if (start(k) < s) s = start(k) }
+      var i = off(comp)
+      while (i < off(comp + 1)) { if (start(adj(i)) < s) s = start(adj(i)); i += 1 }
       start(comp) = s
       comp -= 1
     }
@@ -134,14 +139,16 @@ object BFL {
     comp = c - 1
     while (comp >= 0) {
       setBit(lout, comp, hashBit(comp))
-      cond.dagChildren(comp).foreach(k => orInto(lout, comp, k))
+      var i = off(comp)
+      while (i < off(comp + 1)) { orInto(lout, comp, adj(i)); i += 1 }
       comp -= 1
     }
     // Lin: forward topological order (parents before children).
     comp = 0
     while (comp < c) {
       setBit(lin, comp, hashBit(comp))
-      cond.dagParents(comp).foreach(p => orInto(lin, comp, p))
+      var i = bwdOff(comp)
+      while (i < bwdOff(comp + 1)) { orInto(lin, comp, bwdAdj(i)); i += 1 }
       comp += 1
     }
     new BFL(g, cond, rank, start, lout, lin, words)

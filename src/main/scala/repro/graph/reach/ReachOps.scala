@@ -77,16 +77,20 @@ final class ReachOps(val g: Graph, val cond: Condensation) extends Serializable 
       if (c.isCyclic(comp)) addMembers(comp)
       i += 1
     }
+    val off = if (forward) c.dagOff else c.dagBwdOff
+    val adj = if (forward) c.dagAdj else c.dagBwdAdj
     while (stackTop > 0) {
       stackTop -= 1
       val comp = stack(stackTop)
-      val next = if (forward) c.dagChildren(comp) else c.dagParents(comp)
-      next.foreach { nc =>
+      var j = off(comp)
+      while (j < off(comp + 1)) {
+        val nc = adj(j)
         if (!visited(nc)) {
           visited(nc) = true
           addMembers(nc)
           stack(stackTop) = nc; stackTop += 1
         }
+        j += 1
       }
     }
     out
@@ -105,10 +109,9 @@ final class ReachOps(val g: Graph, val cond: Condensation) extends Serializable 
     stack.prepend(cu)
     while (stack.nonEmpty) {
       val comp = stack.removeHead()
-      val kids = cond.dagChildren(comp)
-      var i = 0
-      while (i < kids.length) {
-        val k = kids(i)
+      var i = cond.dagOff(comp)
+      while (i < cond.dagOff(comp + 1)) {
+        val k = cond.dagAdj(i)
         if (k == cv) return true
         if (k < cv && !visited.get(k)) { visited.set(k); stack.prepend(k) }
         i += 1
@@ -143,8 +146,11 @@ final class ReachOps(val g: Graph, val cond: Condensation) extends Serializable 
       targetComps.foreach { tc => if (!r.get(tc)) { r.set(tc); stack.prepend(tc) } }
       while (stack.nonEmpty) {
         val comp = stack.removeHead()
-        c.dagParents(comp).foreach { p =>
+        var i = c.dagBwdOff(comp)
+        while (i < c.dagBwdOff(comp + 1)) {
+          val p = c.dagBwdAdj(i)
           if (!r.get(p)) { r.set(p); stack.prepend(p) }
+          i += 1
         }
       }
       r
@@ -173,13 +179,16 @@ final class ReachOps(val g: Graph, val cond: Condensation) extends Serializable 
       stack.prepend(comp)
       while (stack.nonEmpty) {
         val cc = stack.removeHead()
-        c.dagChildren(cc).foreach { k =>
+        var i = c.dagOff(cc)
+        while (i < c.dagOff(cc + 1)) {
+          val k = c.dagAdj(i)
           if (region.get(k) && !seen.get(k)) {
             seen.set(k)
             val t = targetsByComp.get(k)
             if (t != null) acc ++= t
             stack.prepend(k)
           }
+          i += 1
         }
       }
       val out = acc.toArray
